@@ -28,6 +28,7 @@
 #include <atomic>
 #include <fstream>
 #include <iostream>
+#include <latch>
 #include <random>
 #include <sstream>
 #include <thread>
@@ -96,24 +97,34 @@ void print_stats(const service::ColoringService& svc) {
 /// Multi-client stress: `readers` threads read snapshots through their
 /// own sessions (ReadMode::kSnapshot — no forced flushes) and check
 /// properness on every sampled neighborhood, while the caller's thread
-/// applies `mutations` random edge inserts through the default session.
+/// applies `mutations` random edge inserts through the default session,
+/// starting once every reader has taken its first snapshot.
 /// Prints one greppable summary line; ok=1 means no reader ever saw a
-/// torn or improper coloring.
+/// torn or improper coloring, overlap=1 that the readers saw more than
+/// one epoch, i.e. read on both sides of at least one batch.
 void run_stress(service::Batcher& front, int readers,
                 std::uint64_t reads_per_reader, int mutations) {
   using service::ReadMode;
+  PDC_CHECK(readers >= 0);
   std::atomic<std::uint64_t> reads{0}, improper{0}, errors{0};
   std::atomic<std::uint64_t> epoch_lo{~std::uint64_t{0}}, epoch_hi{0};
 
   std::vector<std::thread> pool;
   pool.reserve(static_cast<std::size_t>(readers));
+  // The mutations start only once every reader holds its first
+  // snapshot; otherwise the writer can be done before any reader thread
+  // gets a core. A reader can still finish before the writer wakes, so
+  // the overlap is reported (overlap=), not assumed.
+  std::latch readers_started(readers);
   for (int t = 0; t < readers; ++t) {
     pool.emplace_back([&front, &reads, &improper, &errors, &epoch_lo,
-                       &epoch_hi, reads_per_reader, t]() {
+                       &epoch_hi, &readers_started, reads_per_reader, t]() {
       auto session = front.open_session();
       std::mt19937_64 rng(0x5eed + static_cast<std::uint64_t>(t));
+      if (reads_per_reader == 0) readers_started.count_down();
       for (std::uint64_t i = 0; i < reads_per_reader; ++i) {
         auto snap = session.read_snapshot(ReadMode::kSnapshot);
+        if (i == 0) readers_started.count_down();
         for (auto lo = epoch_lo.load();
              snap->epoch < lo && !epoch_lo.compare_exchange_weak(lo, snap->epoch);) {
         }
@@ -141,6 +152,7 @@ void run_stress(service::Batcher& front, int readers,
     });
   }
 
+  readers_started.wait();
   service::ColoringService& svc = front.service();
   const NodeId cap = svc.graph().capacity();
   std::mt19937_64 rng(0xc0105);
@@ -158,6 +170,7 @@ void run_stress(service::Batcher& front, int readers,
             << " improper=" << improper.load() << " errors=" << errors.load()
             << " epoch_lo=" << epoch_lo.load()
             << " epoch_hi=" << epoch_hi.load()
+            << " overlap=" << (epoch_hi.load() > epoch_lo.load() ? 1 : 0)
             << " ok=" << (improper.load() == 0 ? 1 : 0) << "\n";
 }
 

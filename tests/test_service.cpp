@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <latch>
 #include <memory>
 #include <random>
 #include <thread>
@@ -669,6 +670,13 @@ TEST(ServiceConcurrency, ReadersObserveProperColoringsUnderWriterChurn) {
   std::atomic<std::uint64_t> violations{0};
   std::atomic<std::uint64_t> stale_reads{0};
 
+  // The writer starts only once every reader holds its first snapshot:
+  // on a busy host a new thread can get no core before a 12-batch writer
+  // is done. This makes reads beside the batches likely, not certain (a
+  // reader can finish its reads before the writer wakes), so the test
+  // does not assert the overlap; `reads > 0` holds once the latch opens.
+  std::latch readers_started(kReaders);
+
   std::vector<std::thread> pool;
   pool.reserve(kReaders);
   for (int t = 0; t < kReaders; ++t) {
@@ -677,6 +685,7 @@ TEST(ServiceConcurrency, ReadersObserveProperColoringsUnderWriterChurn) {
       std::mt19937_64 rng(0x5eed + t);
       for (int i = 0; i < kReadsPerReader && !stop.load(); ++i) {
         auto snap = session.read_snapshot(ReadMode::kSnapshot);
+        if (i == 0) readers_started.count_down();
         if ((i & 127) == 0) {
           // Periodic full check: the snapshot is a complete proper
           // in-palette coloring, whatever the writer is mid-way
@@ -697,31 +706,44 @@ TEST(ServiceConcurrency, ReadersObserveProperColoringsUnderWriterChurn) {
     });
   }
 
-  // Writer churn on the main thread: randomized batches through its
-  // own session, asserting read-your-writes after every flush.
-  auto writer = front.open_session();
-  std::mt19937_64 rng(2026);
-  for (int b = 0; b < 12; ++b) {
-    const std::size_t k = 1 + rng() % 4;
-    for (std::size_t i = 0; i < k; ++i) {
-      NodeId u = static_cast<NodeId>(rng() % g.num_nodes());
-      NodeId v = static_cast<NodeId>(rng() % g.num_nodes());
-      if (u == v) continue;
-      if (rng() % 4 == 0)
-        writer.enqueue(Mutation::delete_edge(u, v));
-      else
-        writer.enqueue(Mutation::insert_edge(u, v));
+  {
+    // Stops and joins the readers on every way out of the writer loop, a
+    // failed ASSERT included: destroying a joinable std::thread would call
+    // std::terminate and lose the rest of the binary's results.
+    struct StopAndJoin {
+      std::atomic<bool>& stop;
+      std::vector<std::thread>& pool;
+      ~StopAndJoin() {
+        stop.store(true);
+        for (auto& th : pool) th.join();
+      }
+    } join_readers{stop, pool};
+
+    // Writer churn on the main thread: randomized batches through its
+    // own session, asserting read-your-writes after every flush.
+    readers_started.wait();
+    auto writer = front.open_session();
+    std::mt19937_64 rng(2026);
+    for (int b = 0; b < 12; ++b) {
+      const std::size_t k = 1 + rng() % 4;
+      for (std::size_t i = 0; i < k; ++i) {
+        NodeId u = static_cast<NodeId>(rng() % g.num_nodes());
+        NodeId v = static_cast<NodeId>(rng() % g.num_nodes());
+        if (u == v) continue;
+        if (rng() % 4 == 0)
+          writer.enqueue(Mutation::delete_edge(u, v));
+        else
+          writer.enqueue(Mutation::insert_edge(u, v));
+      }
+      auto r = writer.flush();
+      if (r.has_value()) {
+        ASSERT_TRUE(r->valid) << "batch " << b;
+        auto snap = writer.read_snapshot(ReadMode::kSnapshot);
+        EXPECT_GE(snap->batch_seq, r->batch_seq);
+        EXPECT_GE(snap->batch_seq, writer.last_flushed_seq());
+      }
     }
-    auto r = writer.flush();
-    if (r.has_value()) {
-      ASSERT_TRUE(r->valid) << "batch " << b;
-      auto snap = writer.read_snapshot(ReadMode::kSnapshot);
-      EXPECT_GE(snap->batch_seq, r->batch_seq);
-      EXPECT_GE(snap->batch_seq, writer.last_flushed_seq());
-    }
-  }
-  stop.store(true);
-  for (auto& th : pool) th.join();
+  }  // join_readers stops and joins the readers here.
 
   EXPECT_EQ(violations.load(), 0u)
       << "a reader observed a torn or improper coloring";
