@@ -77,8 +77,8 @@ int main(int argc, char** argv) {
   }
   t.print();
 
-  // Derandomized leg: the same subroutines with conditional-expectations
-  // seed selection, so the engine's per-procedure SearchStats reach this
+  // Derandomized leg: the same subroutines with the production
+  // (exhaustive) seed selection, so the engine's per-procedure SearchStats reach this
   // harness too (E4 previously only saw seed_evaluations). The sweep
   // budget is asserted the way bench_e10 does: batched sweeps must stay
   // strictly below one-pass-per-evaluation.
@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
   for (auto& [name, inst] : instances) {
     derand::ColoringState state(inst.graph, inst.palettes);
     hknt::MiddleOptions mo;
-    mo.l10.strategy = derand::SeedStrategy::kConditionalExpectation;
+    mo.l10.strategy = derand::SeedStrategy::kExhaustive;
     mo.l10.seed_bits = 4;
     hknt::MiddleReport rep = hknt::color_middle(state, inst, mo, nullptr);
     std::map<std::string, engine::SearchStats> by_proc;

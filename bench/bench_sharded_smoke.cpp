@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   derand::ColoringState state(inst.graph, inst.palettes);
 
   derand::Lemma10Options opt;
-  opt.strategy = derand::SeedStrategy::kConditionalExpectation;
+  opt.strategy = derand::SeedStrategy::kPrefixWalk;
   opt.seed_bits = 6;
   derand::ChunkAssignment chunks =
       derand::assign_chunks(g, proc.tau(), opt, nullptr);

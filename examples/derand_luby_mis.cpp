@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
 
   derand::Lemma10Options opt;
   opt.seed_bits = 6;
-  opt.strategy = derand::SeedStrategy::kConditionalExpectation;
+  opt.strategy = derand::SeedStrategy::kPrefixWalk;
   MisResult det = luby_mis_derandomized(g, opt, /*max_rounds=*/32);
   auto [di, dm] = check_mis(g, det.in_mis);
   std::uint64_t det_size = 0;

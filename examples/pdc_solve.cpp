@@ -26,6 +26,8 @@
 // read observed a proper coloring.
 
 #include <atomic>
+#include <charconv>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <latch>
@@ -55,6 +57,20 @@ d1lc::SolverOptions make_solver_options(const CliArgs& args) {
   opt.middle_passes = static_cast<int>(args.get_int("passes", 2));
   opt.seed = args.get_int("seed", 1);
   return opt;
+}
+
+/// Reads the next whitespace-separated token of a REPL command into
+/// `out`, leaving `out` at its default when the command has no more
+/// tokens. The whole token must be an in-range number: trailing junk
+/// or an overflow is a PDC_CHECK error rather than a zero or saturated
+/// value.
+template <typename T>
+void read_optional_field(std::istream& is, T& out) {
+  std::string tok;
+  if (!(is >> tok)) return;
+  const char* end = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, out);
+  PDC_CHECK_MSG(ec == std::errc() && ptr == end, "malformed number: " << tok);
 }
 
 void print_mutation_result(const service::MutationResult& r) {
@@ -94,6 +110,10 @@ void print_stats(const service::ColoringService& svc) {
             << "stat live_edges " << svc.graph().num_edges() << "\n";
 }
 
+/// Upper bound on `stress` reader threads: enough to oversubscribe any
+/// host this runs on, few enough that a typo cannot exhaust the OS.
+constexpr int kMaxStressReaders = 64;
+
 /// Multi-client stress: `readers` threads read snapshots through their
 /// own sessions (ReadMode::kSnapshot — no forced flushes) and check
 /// properness on every sampled neighborhood, while the caller's thread
@@ -103,9 +123,10 @@ void print_stats(const service::ColoringService& svc) {
 /// torn or improper coloring, overlap=1 that the readers saw more than
 /// one epoch, i.e. read on both sides of at least one batch.
 void run_stress(service::Batcher& front, int readers,
-                std::uint64_t reads_per_reader, int mutations) {
+                std::int64_t reads_per_reader, int mutations) {
   using service::ReadMode;
-  PDC_CHECK(readers >= 0);
+  PDC_CHECK(readers >= 0 && readers <= kMaxStressReaders);
+  PDC_CHECK(reads_per_reader >= 0);
   std::atomic<std::uint64_t> reads{0}, improper{0}, errors{0};
   std::atomic<std::uint64_t> epoch_lo{~std::uint64_t{0}}, epoch_hi{0};
 
@@ -122,7 +143,7 @@ void run_stress(service::Batcher& front, int readers,
       auto session = front.open_session();
       std::mt19937_64 rng(0x5eed + static_cast<std::uint64_t>(t));
       if (reads_per_reader == 0) readers_started.count_down();
-      for (std::uint64_t i = 0; i < reads_per_reader; ++i) {
+      for (std::int64_t i = 0; i < reads_per_reader; ++i) {
         auto snap = session.read_snapshot(ReadMode::kSnapshot);
         if (i == 0) readers_started.count_down();
         for (auto lo = epoch_lo.load();
@@ -232,9 +253,11 @@ int run_serve(const CliArgs& args, const D1lcInstance& inst) {
         else std::cout << "queued " << front.pending() << "\n";
       } else if (cmd == "stress") {
         int readers = 4;
-        std::uint64_t per = 10000;
+        std::int64_t per = 10000;
         int muts = 32;
-        is >> readers >> per >> muts;
+        read_optional_field(is, readers);
+        read_optional_field(is, per);
+        read_optional_field(is, muts);
         run_stress(front, readers, per, muts);
       } else if (cmd == "flush") {
         auto r = front.flush();

@@ -170,7 +170,7 @@ class PessimisticEstimator {
 /// The estimator realized on the engine's formula planes: item = node,
 /// cost(member, node) = estimator term. Being a PrefixOracle (hence an
 /// AnalyticOracle, hence a CostOracle) it serves every engine route —
-/// exhaustive / conditional-expectation searches run analytically
+/// exhaustive searches run analytically
 /// (SearchStats::analytic, zero enumeration sweeps) and prefix walks
 /// run on the junta plane (SearchStats::prefix) — on both backends.
 /// The estimator, state, family and chunk assignment must outlive the

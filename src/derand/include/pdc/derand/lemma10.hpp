@@ -7,9 +7,10 @@
 //     chunks of the PRG output.
 //  2. For each candidate seed of the PRG family, simulate the procedure
 //     and count nodes failing their strong success property.
-//  3. Select a seed with failure count <= the seed-space mean (method of
-//     conditional expectations, or exhaustive argmin — both satisfy the
-//     lemma's guarantee; strategies compared in E10).
+//  3. Select a seed with failure count <= the seed-space mean (the
+//     MSB-first prefix walk, i.e. the method of conditional
+//     expectations, or exhaustive argmin — both satisfy the lemma's
+//     guarantee; strategies compared in E10).
 //  4. Re-run under the chosen seed, mark SSP-failing nodes Deferred,
 //     commit the outputs of the rest, and verify the weak success
 //     property of all non-deferred participants.
@@ -48,15 +49,15 @@
 #include "pdc/graph/power.hpp"
 #include "pdc/mpc/cost_model.hpp"
 #include "pdc/prg/prg.hpp"
+#include "pdc/util/check.hpp"
 
 namespace pdc::derand {
 
 enum class SeedStrategy {
-  kExhaustive,              // argmin over all seeds
-  kConditionalExpectation,  // LSB-first bitwise E[...|prefix] walk
-  kPrefixWalk,              // MSB-first junta-fooling prefix walk
-  kFirstSeed,               // seed 0, no search (ablation: "random" seed)
-  kTrueRandom,              // no PRG at all: the randomized algorithm
+  kExhaustive,  // argmin over all seeds
+  kPrefixWalk,  // MSB-first junta-fooling prefix walk (cond. expectations)
+  kFirstSeed,   // seed 0, no search (ablation: "random" seed)
+  kTrueRandom,  // no PRG at all: the randomized algorithm
 };
 
 /// Whether the Lemma-10 seed search runs on the procedure's pessimistic
@@ -153,26 +154,22 @@ inline prg::PrgFamily lemma10_family(const Lemma10Options& opt) {
 
 /// Maps a search strategy to its engine route over the 2^seed_bits
 /// space (the single strategy->route mapping; lemma10 and the Luby
-/// call sites share it so they cannot drift).
+/// call sites share it so they cannot drift). kPrefixWalk walks the
+/// bits; every other strategy searches the whole space exhaustively.
 inline engine::SearchRequest lemma10_request(SeedStrategy strategy,
                                              int seed_bits,
                                              engine::ExecutionPolicy policy) {
-  switch (strategy) {
-    case SeedStrategy::kConditionalExpectation:
-      return engine::SearchRequest::conditional_expectation(seed_bits,
-                                                            policy);
-    case SeedStrategy::kPrefixWalk:
-      return engine::SearchRequest::prefix_walk(seed_bits, policy);
-    default:
-      return engine::SearchRequest::exhaustive_bits(seed_bits, policy);
-  }
+  if (strategy == SeedStrategy::kPrefixWalk)
+    return engine::SearchRequest::prefix_walk(seed_bits, policy);
+  PDC_CHECK(seed_bits >= 1 && seed_bits <= 30);
+  return engine::SearchRequest::exhaustive(1ULL << seed_bits, policy);
 }
 
 /// The Lemma-10 seed search alone (no commit): builds the PRG family
 /// via lemma10_family(opt) and searches it for the SSP-failure
 /// objective — or, in estimator mode, the procedure's pessimistic
-/// estimator — with the chosen strategy (kExhaustive,
-/// kConditionalExpectation or kPrefixWalk) on the chosen backend.
+/// estimator — with the chosen strategy (kExhaustive or kPrefixWalk)
+/// on the chosen backend.
 /// Exposed so the sharded differential tests can compare whole
 /// Selections; derandomize_procedure routes its search strategies
 /// through here. `estimator_used` (optional) reports whether the

@@ -72,7 +72,6 @@ engine::Selection lemma10_seed_selection(const NormalProcedure& proc,
                                          const Lemma10Options& opt,
                                          bool* estimator_used) {
   PDC_CHECK(opt.strategy == SeedStrategy::kExhaustive ||
-            opt.strategy == SeedStrategy::kConditionalExpectation ||
             opt.strategy == SeedStrategy::kPrefixWalk);
   prg::PrgFamily family = lemma10_family(opt);
   const engine::SearchRequest request =

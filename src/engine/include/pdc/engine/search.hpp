@@ -5,13 +5,13 @@
 //   Selection sel = pdc::engine::search(oracle, SearchRequest::
 //       exhaustive(family.size(), policy));
 //
-// A SearchRequest names the route (exhaustive / exhaustive-bits /
-// conditional-expectation / prefix-walk) and the seed space; an
-// ExecutionPolicy bundles everything about *how* the search executes —
-// backend (shared-memory, sharded, or kAuto), the cluster, the engine
-// SearchOptions, and an optional stats sink the Selection's stats are
-// absorbed into. Capability detection is the engine's job, not the call
-// site's: every route climbs the oracle tier ladder
+// A SearchRequest names the route (exhaustive or prefix-walk) and the
+// seed space; an ExecutionPolicy bundles everything about *how* the
+// search executes — backend (shared-memory, sharded, or kAuto), the
+// cluster, the engine SearchOptions, and an optional stats sink the
+// Selection's stats are absorbed into. Capability detection is the
+// engine's job, not the call site's: every route climbs the oracle tier
+// ladder
 //
 //   CostOracle (cost / eval_batch enumeration)
 //     < AnalyticOracle (closed forms, zero enumeration sweeps)
@@ -46,17 +46,17 @@ class Cluster;
 
 namespace pdc::engine {
 
-/// Which search route a SearchRequest runs. All four guarantee
-/// cost <= mean_cost over the searched space.
+/// Which search route a SearchRequest runs. Both guarantee
+/// cost <= mean_cost over the searched space. The prefix walk is the
+/// paper's method of conditional expectations; exhaustive is its
+/// argmin over the same totals.
 enum class SearchRoute {
-  kExhaustive,              // argmin over seeds [0, num_seeds)
-  kExhaustiveBits,          // argmin over the 2^seed_bits bit space
-  kConditionalExpectation,  // LSB-first bitwise walk over cached totals
-  kPrefixWalk,              // MSB-first junta-fooling prefix walk
+  kExhaustive,  // argmin over seeds [0, num_seeds)
+  kPrefixWalk,  // MSB-first junta-fooling prefix walk over 2^seed_bits
 };
 
 /// Stable kebab-case route names for trace tags and metric labels
-/// ("exhaustive" / "exhaustive-bits" / "cond-exp" / "prefix-walk").
+/// ("exhaustive" / "prefix-walk").
 const char* to_string(SearchRoute route);
 
 /// Everything about how a search executes, bundled so call sites carry
@@ -66,7 +66,7 @@ struct ExecutionPolicy {
   /// Required for kSharded; consulted by kAuto (null => shared memory).
   /// Non-owning.
   mpc::Cluster* cluster = nullptr;
-  /// Block sizing, early exit, analytic/prefix plane routing.
+  /// Block sizing, analytic/prefix plane routing.
   SearchOptions options;
   /// Optional: the front door absorbs every Selection's stats here, so
   /// call sites stop hand-threading `report.absorb(sel.stats)`.
@@ -83,7 +83,7 @@ struct ExecutionPolicy {
 
 /// A route plus its seed space plus the policy — the front door's whole
 /// input. Use the named constructors; `num_seeds` is only read by
-/// kExhaustive and `seed_bits` only by the bit routes.
+/// kExhaustive and `seed_bits` only by kPrefixWalk.
 struct SearchRequest {
   SearchRoute route = SearchRoute::kExhaustive;
   std::uint64_t num_seeds = 0;
@@ -95,22 +95,6 @@ struct SearchRequest {
     SearchRequest r;
     r.route = SearchRoute::kExhaustive;
     r.num_seeds = num_seeds;
-    r.policy = policy;
-    return r;
-  }
-  static SearchRequest exhaustive_bits(int seed_bits,
-                                       ExecutionPolicy policy = {}) {
-    SearchRequest r;
-    r.route = SearchRoute::kExhaustiveBits;
-    r.seed_bits = seed_bits;
-    r.policy = policy;
-    return r;
-  }
-  static SearchRequest conditional_expectation(int seed_bits,
-                                               ExecutionPolicy policy = {}) {
-    SearchRequest r;
-    r.route = SearchRoute::kConditionalExpectation;
-    r.seed_bits = seed_bits;
     r.policy = policy;
     return r;
   }

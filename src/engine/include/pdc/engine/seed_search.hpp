@@ -310,11 +310,6 @@ struct SearchOptions {
   /// limit: a fold-round machine holds two block-wide partials.
   /// SearchStats::batch always reports the width actually used.)
   std::size_t max_batch = 0;
-  /// Conditional expectations: once the chosen branch is flat (every
-  /// completion has the same total — in particular an all-zero branch
-  /// for non-negative costs), stop fixing bits and take its first
-  /// completion; the guarantee is unaffected.
-  bool early_exit = true;
   /// Consult the oracle's analytic plane (closed-form evaluation, zero
   /// enumeration sweeps) when it advertises one. false forces the
   /// enumerating sweeps — differential tests and ablations only; the
@@ -360,19 +355,6 @@ class SeedSearch {
   /// cost <= mean_cost.
   Selection exhaustive(std::uint64_t num_seeds);
 
-  /// Exhaustive search over the 2^seed_bits bit-seed space.
-  Selection exhaustive_bits(int seed_bits);
-
-  /// Method of conditional expectations over 2^seed_bits seeds: fix
-  /// bits b_0..b_{d-1} in order, keeping the branch with the smaller
-  /// conditional expectation. Branch means share prefixes: the bit-0
-  /// means already require every completion's total, so the engine
-  /// computes all totals in one blocked sweep pass and derives every
-  /// later branch mean from the same totals — no re-evaluation, unlike
-  /// the legacy route's ~2*2^d independent full simulations. Guarantees
-  /// cost <= mean_cost (mean over the full space).
-  Selection conditional_expectation(int seed_bits);
-
   /// Harris-style junta-fooling walk over 2^seed_bits members: fix seed
   /// bits MSB -> LSB, at each step comparing the two children's exact
   /// branch sums and keeping the smaller. When the oracle advertises the
@@ -413,10 +395,6 @@ namespace detail {
 
 /// Argmin + mean over the whole space (exhaustive / index search).
 Selection select_exhaustive(const std::vector<double>& totals);
-
-/// The bitwise conditional-expectations walk over 2^seed_bits totals.
-Selection select_conditional_expectation(const std::vector<double>& totals,
-                                         int seed_bits, bool early_exit);
 
 /// The MSB->LSB prefix walk over 2^seed_bits totals — the selection
 /// semantics of SeedSearch::prefix_walk, expressed against a full
@@ -461,10 +439,8 @@ void stamp_prefix_walk(SearchStats& stats, int seed_bits,
 using TotalsFn =
     std::function<std::vector<double>(std::uint64_t, SearchStats&)>;
 Selection run_exhaustive(const TotalsFn& totals, std::uint64_t num_seeds);
-Selection run_conditional_expectation(const TotalsFn& totals, int seed_bits,
-                                      bool early_exit);
-/// Totals-reference driver for the prefix-walk route (the mirror of the
-/// two above): compute the backend's totals, run select_prefix_walk,
+/// Totals-reference driver for the prefix-walk route (the mirror of
+/// run_exhaustive): compute the backend's totals, run select_prefix_walk,
 /// fill stats and wall time. Both backends' use_prefix = false
 /// fallbacks delegate here so the reference semantics cannot drift
 /// between them.

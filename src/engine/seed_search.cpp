@@ -63,52 +63,6 @@ Selection select_exhaustive(const std::vector<double>& totals) {
   return out;
 }
 
-Selection select_conditional_expectation(const std::vector<double>& totals,
-                                         int seed_bits, bool early_exit) {
-  const std::uint64_t n = 1ULL << seed_bits;
-  PDC_CHECK(totals.size() == n);
-  Selection out;
-
-  // Bitwise walk. At bit i with prefix p (low i bits fixed), branch
-  // b's completions are exactly the seeds s with s mod 2^{i+1} ==
-  // p | b<<i; their totals are already in hand, so each conditional
-  // expectation is a strided partial mean — no re-evaluation.
-  std::uint64_t prefix = 0;
-  double overall_mean = 0.0;
-  for (int bit = 0; bit < seed_bits; ++bit) {
-    const std::uint64_t step = 1ULL << (bit + 1);
-    double branch_sum[2] = {0.0, 0.0};
-    double branch_min[2];
-    double branch_max[2];
-    for (int b = 0; b < 2; ++b) {
-      const std::uint64_t base =
-          prefix | (static_cast<std::uint64_t>(b) << bit);
-      branch_min[b] = totals[base];
-      branch_max[b] = totals[base];
-      for (std::uint64_t s = base; s < n; s += step) {
-        branch_sum[b] += totals[s];
-        branch_min[b] = std::min(branch_min[b], totals[s]);
-        branch_max[b] = std::max(branch_max[b], totals[s]);
-      }
-    }
-    const double completions = static_cast<double>(n >> (bit + 1));
-    const double mean0 = branch_sum[0] / completions;
-    const double mean1 = branch_sum[1] / completions;
-    if (bit == 0) overall_mean = (mean0 + mean1) / 2.0;
-    const int pick = mean1 < mean0 ? 1 : 0;
-    prefix |= static_cast<std::uint64_t>(pick) << bit;
-    if (early_exit && branch_min[pick] == branch_max[pick]) {
-      // Flat branch: every completion attains the branch mean; the
-      // first completion (remaining bits 0) is optimal within it.
-      break;
-    }
-  }
-  out.seed = prefix;
-  out.cost = totals[prefix];
-  out.mean_cost = overall_mean;
-  return out;
-}
-
 Selection select_prefix_walk(const std::vector<double>& totals,
                              int seed_bits) {
   const std::uint64_t n = 1ULL << seed_bits;
@@ -193,18 +147,6 @@ Selection run_exhaustive(const TotalsFn& totals, std::uint64_t num_seeds) {
   Timer timer;
   SearchStats stats;
   Selection out = select_exhaustive(totals(num_seeds, stats));
-  out.stats = stats;
-  out.stats.wall_ms = timer.millis();
-  return out;
-}
-
-Selection run_conditional_expectation(const TotalsFn& totals, int seed_bits,
-                                      bool early_exit) {
-  PDC_CHECK(seed_bits >= 1 && seed_bits <= 30);
-  Timer timer;
-  SearchStats stats;
-  Selection out = select_conditional_expectation(
-      totals(1ULL << seed_bits, stats), seed_bits, early_exit);
   out.stats = stats;
   out.stats.wall_ms = timer.millis();
   return out;
@@ -314,19 +256,6 @@ Selection SeedSearch::exhaustive(std::uint64_t num_seeds) {
   Selection out = detail::run_exhaustive(
       [this](std::uint64_t n, SearchStats& s) { return compute_totals(n, s); },
       num_seeds);
-  tag_shared_memory(out);
-  return out;
-}
-
-Selection SeedSearch::exhaustive_bits(int seed_bits) {
-  PDC_CHECK(seed_bits >= 1 && seed_bits <= 30);
-  return exhaustive(1ULL << seed_bits);
-}
-
-Selection SeedSearch::conditional_expectation(int seed_bits) {
-  Selection out = detail::run_conditional_expectation(
-      [this](std::uint64_t n, SearchStats& s) { return compute_totals(n, s); },
-      seed_bits, opt_.early_exit);
   tag_shared_memory(out);
   return out;
 }

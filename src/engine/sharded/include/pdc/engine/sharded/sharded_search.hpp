@@ -120,7 +120,7 @@ class ShardedOracle {
 };
 
 struct ShardedOptions {
-  /// Block sizing and early-exit policy, shared with the in-process
+  /// Block sizing and plane routing, shared with the in-process
   /// engine (max_batch == 0 resolves adaptively, then clamps so one
   /// partial vector fits in local space).
   SearchOptions search;
@@ -152,10 +152,6 @@ class ShardedSeedSearch {
 
   /// Index search: argmin over seeds 0..num_seeds-1.
   Selection exhaustive(std::uint64_t num_seeds);
-  /// Exhaustive search over the 2^seed_bits bit-seed space.
-  Selection exhaustive_bits(int seed_bits);
-  /// Method of conditional expectations over 2^seed_bits seeds.
-  Selection conditional_expectation(int seed_bits);
   /// Junta-fooling prefix walk over 2^seed_bits members. Oracle-backed
   /// (the oracle advertises as_prefix and use_prefix allows): each of
   /// the seed_bits steps runs one converge-cast of a single branch sum

@@ -15,8 +15,6 @@ namespace pdc::engine {
 const char* to_string(SearchRoute route) {
   switch (route) {
     case SearchRoute::kExhaustive: return "exhaustive";
-    case SearchRoute::kExhaustiveBits: return "exhaustive-bits";
-    case SearchRoute::kConditionalExpectation: return "cond-exp";
     case SearchRoute::kPrefixWalk: return "prefix-walk";
   }
   return "";
@@ -55,10 +53,6 @@ Selection run_route(Search& search, const SearchRequest& req) {
   switch (req.route) {
     case SearchRoute::kExhaustive:
       return search.exhaustive(req.num_seeds);
-    case SearchRoute::kExhaustiveBits:
-      return search.exhaustive_bits(req.seed_bits);
-    case SearchRoute::kConditionalExpectation:
-      return search.conditional_expectation(req.seed_bits);
     case SearchRoute::kPrefixWalk:
       return search.prefix_walk(req.seed_bits);
   }

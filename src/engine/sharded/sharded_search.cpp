@@ -213,20 +213,6 @@ Selection ShardedSeedSearch::exhaustive(std::uint64_t num_seeds) {
   return out;
 }
 
-Selection ShardedSeedSearch::exhaustive_bits(int seed_bits) {
-  PDC_CHECK(seed_bits >= 1 && seed_bits <= 30);
-  return exhaustive(1ULL << seed_bits);
-}
-
-Selection ShardedSeedSearch::conditional_expectation(int seed_bits) {
-  Selection out = detail::run_conditional_expectation(
-      [this](std::uint64_t n, SearchStats& s) { return compute_totals(n, s); },
-      seed_bits, opt_.search.early_exit);
-  out.stats.backend = detail::merge_tag(out.stats.backend,
-                                        BackendTag::kSharded);
-  return out;
-}
-
 Selection ShardedSeedSearch::prefix_walk(int seed_bits) {
   PDC_CHECK(seed_bits >= 1 && seed_bits <= 30);
   PrefixOracle* po =

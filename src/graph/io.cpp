@@ -1,6 +1,8 @@
 #include "pdc/graph/io.hpp"
 
+#include <charconv>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -19,6 +21,15 @@ bool is_comment(const std::string& line) {
   return true;  // blank line
 }
 
+/// A node id or node count read from a file, checked to fit NodeId. Ids
+/// stop one short of the maximum so that `id + 1` (the implied node
+/// count) still fits.
+NodeId to_node_id(std::uint64_t id, const std::string& line) {
+  PDC_CHECK_MSG(id < std::numeric_limits<NodeId>::max(),
+                "node id out of range: " << line);
+  return static_cast<NodeId>(id);
+}
+
 }  // namespace
 
 Graph read_edge_list(std::istream& in) {
@@ -34,18 +45,21 @@ Graph read_edge_list(std::istream& in) {
     if (head == "n") {
       std::uint64_t count = 0;
       ls >> count;
-      n = static_cast<NodeId>(count);
+      PDC_CHECK_MSG(!ls.fail(), "malformed node-count line: " << line);
+      n = to_node_id(count, line);
       n_pinned = true;
       continue;
     }
     if (head == "c") continue;  // palette line (instance format)
-    std::uint64_t u = std::stoull(head), v = 0;
+    std::uint64_t u = 0, v = 0;
+    const char* end = head.data() + head.size();
+    const auto [ptr, ec] = std::from_chars(head.data(), end, u);
     ls >> v;
-    PDC_CHECK_MSG(!ls.fail(), "malformed edge line: " << line);
-    edges.emplace_back(static_cast<NodeId>(u), static_cast<NodeId>(v));
-    if (!n_pinned) {
-      n = std::max<NodeId>(n, static_cast<NodeId>(std::max(u, v)) + 1);
-    }
+    PDC_CHECK_MSG(ec == std::errc() && ptr == end && !ls.fail(),
+                  "malformed edge line: " << line);
+    const NodeId a = to_node_id(u, line), b = to_node_id(v, line);
+    edges.emplace_back(a, b);
+    if (!n_pinned) n = std::max<NodeId>(n, std::max(a, b) + 1);
   }
   return Graph::from_edges(n, std::move(edges));
 }
@@ -76,15 +90,14 @@ Graph read_dimacs(std::istream& in) {
       ls >> fmt >> nn >> mm;
       PDC_CHECK_MSG(fmt == "edge" || fmt == "col",
                     "unsupported DIMACS problem type: " << fmt);
-      n = static_cast<NodeId>(nn);
+      n = to_node_id(nn, line);
       continue;
     }
     if (kind == 'e') {
       std::uint64_t u = 0, v = 0;
       ls >> u >> v;
       PDC_CHECK_MSG(u >= 1 && v >= 1, "DIMACS ids are 1-based");
-      edges.emplace_back(static_cast<NodeId>(u - 1),
-                         static_cast<NodeId>(v - 1));
+      edges.emplace_back(to_node_id(u - 1, line), to_node_id(v - 1, line));
     }
   }
   return Graph::from_edges(n, std::move(edges));
@@ -122,10 +135,18 @@ D1lcInstance read_instance(std::istream& in) {
     if (head != "c") continue;
     std::uint64_t v = 0, k = 0;
     ls >> v >> k;
-    PDC_CHECK_MSG(v < g.num_nodes(), "palette for unknown node " << v);
-    lists[v].resize(k);
-    for (std::uint64_t i = 0; i < k; ++i) ls >> lists[v][i];
     PDC_CHECK_MSG(!ls.fail(), "malformed palette line: " << line);
+    PDC_CHECK_MSG(v < g.num_nodes(), "palette for unknown node " << v);
+    // Colors are read one at a time rather than sized from `k`, so a
+    // huge declared count fails on the missing colors instead of
+    // allocating for them.
+    lists[v].clear();
+    for (std::uint64_t i = 0; i < k; ++i) {
+      Color c = 0;
+      ls >> c;
+      PDC_CHECK_MSG(!ls.fail(), "malformed palette line: " << line);
+      lists[v].push_back(c);
+    }
     any_palette = true;
   }
   if (!any_palette) return make_degree_plus_one(g);

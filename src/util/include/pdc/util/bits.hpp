@@ -37,7 +37,8 @@ class BitStream {
       }
       int take = std::min(k - got, avail_);
       out |= (cur_ & ((take == 64) ? ~0ULL : ((1ULL << take) - 1))) << got;
-      cur_ >>= take;
+      // A full-word take empties cur_ (a shift by 64 would be UB).
+      cur_ = take == 64 ? 0 : cur_ >> take;
       avail_ -= take;
       got += take;
     }

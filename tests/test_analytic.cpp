@@ -129,10 +129,7 @@ TEST(AnalyticEngine, AllRoutesAgreeAcrossPathsAndRespectBlocks) {
   SeedSearch enumerating(e_oracle, small_off);
 
   expect_same_selection(analytic.exhaustive(64), enumerating.exhaustive(64));
-  expect_same_selection(analytic.exhaustive_bits(6),
-                        enumerating.exhaustive_bits(6));
-  expect_same_selection(analytic.conditional_expectation(6),
-                        enumerating.conditional_expectation(6));
+  expect_same_selection(analytic.prefix_walk(6), enumerating.prefix_walk(6));
   // Analytic blocks respect max_batch: 64 members in 4 blocks of 16.
   Selection sel = analytic.exhaustive(64);
   EXPECT_EQ(sel.stats.analytic.blocks, 4u);

@@ -95,18 +95,18 @@ TEST(SeedSearchEngine, AllRoutesSatisfyCostLeqMean) {
   Graph g = gen::gnp(200, 0.05, 7);
   BatchedCollisionOracle oracle(g, 16);
   SeedSearch search(oracle);
-  Selection ex = search.exhaustive_bits(8);
+  Selection ex = search.exhaustive(1ULL << 8);
   EXPECT_LE(ex.cost, ex.mean_cost);
-  Selection ce = search.conditional_expectation(8);
-  EXPECT_LE(ce.cost, ce.mean_cost);
+  Selection pw = search.prefix_walk(8);
+  EXPECT_LE(pw.cost, pw.mean_cost);
   // Both routes searched the same space, so the means coincide and the
   // exhaustive argmin lower-bounds the walk's endpoint.
-  EXPECT_DOUBLE_EQ(ex.mean_cost, ce.mean_cost);
-  EXPECT_LE(ex.cost, ce.cost);
+  EXPECT_DOUBLE_EQ(ex.mean_cost, pw.mean_cost);
+  EXPECT_LE(ex.cost, pw.cost);
 }
 
 TEST(SeedSearchEngine, StrategiesPickIdenticalSeedOnSeparableObjective) {
-  // Separable per-bit penalties: the conditional-expectations walk must
+  // Separable per-bit penalties: the prefix walk must
   // land on the exhaustive argmin.
   class SeparableOracle final : public CostOracle {
    public:
@@ -118,11 +118,11 @@ TEST(SeedSearchEngine, StrategiesPickIdenticalSeedOnSeparableObjective) {
   };
   SeparableOracle oracle;
   SeedSearch search(oracle);
-  Selection ex = search.exhaustive_bits(8);
-  Selection ce = search.conditional_expectation(8);
-  EXPECT_EQ(ex.seed, ce.seed);
+  Selection ex = search.exhaustive(1ULL << 8);
+  Selection pw = search.prefix_walk(8);
+  EXPECT_EQ(ex.seed, pw.seed);
   EXPECT_DOUBLE_EQ(ex.cost, 0.0);
-  EXPECT_DOUBLE_EQ(ce.cost, 0.0);
+  EXPECT_DOUBLE_EQ(pw.cost, 0.0);
 }
 
 TEST(SeedSearchEngine, SweepAccountingBeatsOnePassPerEvaluation) {
@@ -134,14 +134,15 @@ TEST(SeedSearchEngine, SweepAccountingBeatsOnePassPerEvaluation) {
   Selection ex = search.exhaustive(256);
   EXPECT_EQ(ex.stats.evaluations, 256u);
   EXPECT_EQ(ex.stats.sweeps, 4u);  // ceil(256 / 64)
-  Selection ce = search.conditional_expectation(8);
-  EXPECT_EQ(ce.stats.evaluations, 256u);  // prefix sharing: no re-evals
-  EXPECT_EQ(ce.stats.sweeps, 4u);
+  // No prefix plane: the walk runs over one totals pass, no re-evals.
+  Selection pw = search.prefix_walk(8);
+  EXPECT_EQ(pw.stats.evaluations, 256u);
+  EXPECT_EQ(pw.stats.sweeps, 4u);
 }
 
-TEST(SeedSearchEngine, ConditionalExpectationEarlyExitsOnFlatBranch) {
-  // Identically-zero objective: the walk should stop after the first
-  // bit and return seed 0 with exact mean 0.
+TEST(SeedSearchEngine, PrefixWalkBreaksTiesTowardSeedZero) {
+  // Identically-zero objective: every branch ties, so the walk keeps
+  // bit 0 at each step and returns seed 0 with exact mean 0.
   class ZeroOracle final : public CostOracle {
    public:
     std::size_t item_count() const override { return 10; }
@@ -149,10 +150,10 @@ TEST(SeedSearchEngine, ConditionalExpectationEarlyExitsOnFlatBranch) {
   };
   ZeroOracle oracle;
   SeedSearch search(oracle);
-  Selection ce = search.conditional_expectation(10);
-  EXPECT_EQ(ce.seed, 0u);
-  EXPECT_DOUBLE_EQ(ce.cost, 0.0);
-  EXPECT_DOUBLE_EQ(ce.mean_cost, 0.0);
+  Selection pw = search.prefix_walk(10);
+  EXPECT_EQ(pw.seed, 0u);
+  EXPECT_DOUBLE_EQ(pw.cost, 0.0);
+  EXPECT_DOUBLE_EQ(pw.mean_cost, 0.0);
 }
 
 TEST(SeedSearchEngine, ScalarOracleMatchesLegacyContract) {
@@ -163,7 +164,7 @@ TEST(SeedSearchEngine, ScalarOracleMatchesLegacyContract) {
     return 1.0 + static_cast<double>(mix64(seed) % 1000) / 1000.0;
   });
   SeedSearch search(oracle);
-  Selection ex = search.exhaustive_bits(8);
+  Selection ex = search.exhaustive(1ULL << 8);
   EXPECT_EQ(ex.seed, 37u);
   EXPECT_DOUBLE_EQ(ex.cost, 0.0);
   EXPECT_EQ(ex.stats.evaluations, 256u);
@@ -232,7 +233,7 @@ TEST(SeedSearchEngine, SingleSeedSpacesAreWellDefined) {
   EXPECT_DOUBLE_EQ(one.mean_cost, 8.0);
   EXPECT_EQ(one.stats.evaluations, 1u);
 
-  Selection bit = search.conditional_expectation(1);
+  Selection bit = search.prefix_walk(1);
   EXPECT_EQ(bit.seed, 1u);  // branch 1 mean 4 < branch 0 mean 8
   EXPECT_DOUBLE_EQ(bit.cost, 4.0);
   EXPECT_DOUBLE_EQ(bit.mean_cost, 6.0);

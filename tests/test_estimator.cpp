@@ -169,7 +169,7 @@ TEST(EstimatorSelection, FailuresBoundedByEstimatorMeanOnEveryProcedure) {
     ColoringState state(fx.inst.graph, fx.inst.palettes);
     Lemma10Options opt;
     opt.seed_bits = 6;
-    opt.strategy = SeedStrategy::kConditionalExpectation;
+    opt.strategy = SeedStrategy::kExhaustive;
     opt.use_estimator = EstimatorMode::kPrefer;
     Lemma10Report rep = derandomize_procedure(*proc, state, opt, nullptr);
 
@@ -229,8 +229,7 @@ TEST_P(EstimatorBackends, SelectionsBitIdenticalSharedVsSharded) {
   const std::uint32_t p = GetParam();
   Fixture fx;
   for (SeedStrategy strategy :
-       {SeedStrategy::kExhaustive, SeedStrategy::kConditionalExpectation,
-        SeedStrategy::kPrefixWalk}) {
+       {SeedStrategy::kExhaustive, SeedStrategy::kPrefixWalk}) {
     Lemma10Options opt;
     opt.seed_bits = 5;
     opt.strategy = strategy;
@@ -314,7 +313,7 @@ TEST(EstimatorSequence, MixedSequenceKeepsTheColoringValid) {
   const NormalProcedure* seq[] = {&fx.try_none, &fx.try_slack, &fx.multi};
   Lemma10Options opt;
   opt.seed_bits = 5;
-  opt.strategy = SeedStrategy::kConditionalExpectation;
+  opt.strategy = SeedStrategy::kPrefixWalk;
   opt.use_estimator = EstimatorMode::kPrefer;
   SequenceReport rep = derandomize_sequence(seq, state, opt, nullptr);
   ASSERT_EQ(rep.steps.size(), 3u);

@@ -83,6 +83,33 @@ TEST(Io, RejectsInvalidInstances) {
   EXPECT_THROW(io::read_instance(s), check_error);
 }
 
+// ---- Hostile input fails with a PDC_CHECK error. ----
+
+TEST(Io, HugePaletteCountFailsWithoutAllocating) {
+  // The declared count is checked against the colors actually present.
+  std::stringstream s("n 2\n0 1\nc 0 4000000000 1\n");
+  EXPECT_THROW(io::read_instance(s), check_error);
+}
+
+TEST(Io, NonNumericEdgeLineIsACheckError) {
+  for (const char* text : {"n 3\nfoo 1\n", "n 3\n1x 2\n", "n 3\n-1 2\n",
+                           "99999999999999999999 1\n"}) {
+    std::stringstream s(text);
+    EXPECT_THROW(io::read_edge_list(s), check_error) << text;
+  }
+}
+
+TEST(Io, NodeIdsBeyondNodeIdAreRejected) {
+  // 4294967295 is rejected too: its implied node count overflows.
+  for (const char* text : {"4294967296 1\n", "0 4294967296\n",
+                           "4294967295 0\n", "n 4294967296\n"}) {
+    std::stringstream s(text);
+    EXPECT_THROW(io::read_edge_list(s), check_error) << text;
+  }
+  std::stringstream dimacs("p edge 2 1\ne 4294967297 1\n");
+  EXPECT_THROW(io::read_dimacs(dimacs), check_error);
+}
+
 // ---- New generators. ----
 
 TEST(Generators, BipartiteHasNoOddCycleWitnesses) {

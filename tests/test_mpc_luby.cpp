@@ -68,7 +68,7 @@ TEST_P(MpcDerandLubyEquivalence, MatchesSharedMemoryBitForBit) {
   derand::Lemma10Options opt;
   opt.seed_bits = 4;
   opt.salt = salt;
-  opt.strategy = derand::SeedStrategy::kConditionalExpectation;
+  opt.strategy = derand::SeedStrategy::kPrefixWalk;
 
   baseline::MisResult shared = baseline::luby_mis_derandomized(g, opt, 8);
   mpc::Cluster cluster(

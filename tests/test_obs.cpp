@@ -75,7 +75,7 @@ TEST_F(ObsSpans, NestingIsPositionalOnOneThread) {
   set_tracing(true);
   {
     Span outer("outer");
-    outer.tag("route", "cond-exp");
+    outer.tag("route", "prefix-walk");
     outer.tag_u64("items", 17);
     {
       Span inner("inner");
@@ -95,7 +95,7 @@ TEST_F(ObsSpans, NestingIsPositionalOnOneThread) {
             outer->start_us + outer->dur_us);
   ASSERT_EQ(outer->args.size(), 2u);
   EXPECT_EQ(outer->args[0].first, "route");
-  EXPECT_EQ(outer->args[0].second, "cond-exp");
+  EXPECT_EQ(outer->args[0].second, "prefix-walk");
   EXPECT_EQ(outer->args[1].second, "17");
 }
 
@@ -341,7 +341,7 @@ TEST_F(ObsEngine, Lemma10ReportMatchesPublishedMetrics) {
       cfg, hknt::TryRandomColorProc::Ssp::kSlackTwiceDegree, "obs");
   derand::Lemma10Options opt;
   opt.seed_bits = 6;
-  opt.strategy = derand::SeedStrategy::kConditionalExpectation;
+  opt.strategy = derand::SeedStrategy::kPrefixWalk;
   derand::Lemma10Report rep =
       derand::derandomize_procedure(proc, state, opt, nullptr);
 

@@ -336,10 +336,6 @@ TEST(FrontDoor, RoutesMatchTheDirectEngines) {
   PrefixCollisionOracle a(g, 8, 6), b(g, 8, 6);
   expect_same_selection(search(a, SearchRequest::exhaustive(64)),
                         SeedSearch(b).exhaustive(64));
-  expect_same_selection(search(a, SearchRequest::exhaustive_bits(6)),
-                        SeedSearch(b).exhaustive_bits(6));
-  expect_same_selection(search(a, SearchRequest::conditional_expectation(6)),
-                        SeedSearch(b).conditional_expectation(6));
   expect_same_selection(search(a, SearchRequest::prefix_walk(6)),
                         SeedSearch(b).prefix_walk(6));
 }

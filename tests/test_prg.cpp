@@ -38,14 +38,14 @@ SeedChoice to_choice(const engine::Selection& sel) {
 
 SeedChoice select_seed_exhaustive(int seed_bits, const SeedCostFn& cost) {
   engine::ScalarOracle oracle(cost);
-  return to_choice(engine::SeedSearch(oracle).exhaustive_bits(seed_bits));
+  return to_choice(engine::SeedSearch(oracle).exhaustive(1ULL << seed_bits));
 }
 
-SeedChoice select_seed_conditional_expectation(int seed_bits,
-                                               const SeedCostFn& cost) {
+/// The method of conditional expectations: the engine's MSB-first
+/// prefix walk over the 2^seed_bits space.
+SeedChoice select_seed_prefix_walk(int seed_bits, const SeedCostFn& cost) {
   engine::ScalarOracle oracle(cost);
-  return to_choice(
-      engine::SeedSearch(oracle).conditional_expectation(seed_bits));
+  return to_choice(engine::SeedSearch(oracle).prefix_walk(seed_bits));
 }
 
 SeedChoice select_index_exhaustive(std::uint64_t family_size,
@@ -123,24 +123,24 @@ TEST(SelectSeed, ExhaustiveFindsGlobalMinimum) {
   EXPECT_GE(c.mean_cost, c.cost);
 }
 
-TEST(SelectSeed, ConditionalExpectationNeverWorseThanMean) {
+TEST(SelectSeed, PrefixWalkNeverWorseThanMean) {
   for (int trial = 0; trial < 10; ++trial) {
     std::uint64_t salt = 1000 + trial;
     auto cost = [salt](std::uint64_t seed) {
       return static_cast<double>(mix64(seed ^ salt) % 100);
     };
-    SeedChoice c = select_seed_conditional_expectation(8, cost);
+    SeedChoice c = select_seed_prefix_walk(8, cost);
     EXPECT_LE(c.cost, c.mean_cost) << "trial " << trial;
   }
 }
 
-TEST(SelectSeed, ConditionalExpectationExactOnLinearObjective) {
+TEST(SelectSeed, PrefixWalkExactOnLinearObjective) {
   // For cost(seed) = popcount(seed), each bit contributes independently;
-  // the bitwise walk must find cost 0 (all bits 0).
+  // the prefix walk must find cost 0 (all bits 0).
   auto cost = [](std::uint64_t seed) {
     return static_cast<double>(__builtin_popcountll(seed));
   };
-  SeedChoice c = select_seed_conditional_expectation(10, cost);
+  SeedChoice c = select_seed_prefix_walk(10, cost);
   EXPECT_EQ(c.seed, 0u);
   EXPECT_DOUBLE_EQ(c.cost, 0.0);
   EXPECT_DOUBLE_EQ(c.mean_cost, 5.0);  // E[popcount of 10 bits] = 5
@@ -157,10 +157,10 @@ TEST(SelectSeed, BothStrategiesAgreeOnSeparableObjectives) {
     return t;
   };
   SeedChoice ex = select_seed_exhaustive(8, cost);
-  SeedChoice ce = select_seed_conditional_expectation(8, cost);
+  SeedChoice pw = select_seed_prefix_walk(8, cost);
   EXPECT_DOUBLE_EQ(ex.cost, 0.0);
-  EXPECT_DOUBLE_EQ(ce.cost, 0.0);
-  EXPECT_EQ(ex.seed, ce.seed);
+  EXPECT_DOUBLE_EQ(pw.cost, 0.0);
+  EXPECT_EQ(ex.seed, pw.seed);
 }
 
 TEST(SelectIndex, ArgminOverFamily) {
@@ -182,7 +182,7 @@ TEST(SelectSeed, OneBitSpaceIsExact) {
     ++calls;
     return seed == 0 ? 4.0 : 2.0;
   };
-  SeedChoice c = select_seed_conditional_expectation(1, cost);
+  SeedChoice c = select_seed_prefix_walk(1, cost);
   EXPECT_EQ(c.seed, 1u);
   EXPECT_DOUBLE_EQ(c.cost, 2.0);
   EXPECT_DOUBLE_EQ(c.mean_cost, 3.0);

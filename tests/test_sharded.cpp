@@ -187,7 +187,7 @@ TEST(ConvergeCast, FanInRespectsLocalSpace) {
                check_error);
 }
 
-// ---- Differential: synthetic oracle, all three routes. ----
+// ---- Differential: synthetic oracle, both routes. ----
 
 class ShardedDifferential : public ::testing::TestWithParam<int> {};
 
@@ -202,10 +202,7 @@ TEST_P(ShardedDifferential, AllRoutesBitIdenticalToSharedMemory) {
   ShardedSeedSearch sharded(sharded_oracle, cluster);
 
   expect_same_selection(shared.exhaustive(96), sharded.exhaustive(96));
-  expect_same_selection(shared.exhaustive_bits(7),
-                        sharded.exhaustive_bits(7));
-  expect_same_selection(shared.conditional_expectation(7),
-                        sharded.conditional_expectation(7));
+  expect_same_selection(shared.prefix_walk(7), sharded.prefix_walk(7));
   EXPECT_TRUE(cluster.ledger().violations().empty());
 }
 
@@ -308,7 +305,7 @@ TEST(ShardedProduction, Lemma10SeedSelectionMatchesOnBothStrategies) {
   derand::ColoringState state(inst.graph, inst.palettes);
 
   for (auto strategy : {derand::SeedStrategy::kExhaustive,
-                        derand::SeedStrategy::kConditionalExpectation}) {
+                        derand::SeedStrategy::kPrefixWalk}) {
     derand::Lemma10Options opt;
     opt.strategy = strategy;
     opt.seed_bits = 5;
@@ -352,7 +349,7 @@ TEST(ShardedProduction, LubySeedSelectionMatchesOnBothStrategies) {
   std::iota(chunk_of.begin(), chunk_of.end(), 0u);
 
   for (auto strategy : {derand::SeedStrategy::kExhaustive,
-                        derand::SeedStrategy::kConditionalExpectation}) {
+                        derand::SeedStrategy::kPrefixWalk}) {
     derand::Lemma10Options opt;
     opt.strategy = strategy;
     opt.seed_bits = 4;
@@ -375,7 +372,7 @@ TEST(ShardedEndToEnd, DerandomizedLubyOnClusterMatchesSharedMemory) {
   derand::Lemma10Options opt;
   opt.seed_bits = 4;
   opt.salt = 31;
-  opt.strategy = derand::SeedStrategy::kConditionalExpectation;
+  opt.strategy = derand::SeedStrategy::kPrefixWalk;
 
   baseline::MisResult shared = baseline::luby_mis_derandomized(g, opt, 6);
 

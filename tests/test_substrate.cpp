@@ -181,23 +181,17 @@ engine::SearchRequest route_request(engine::SearchRoute route,
   switch (route) {
     case SearchRoute::kExhaustive:
       return SearchRequest::exhaustive(64, policy);
-    case SearchRoute::kExhaustiveBits:
-      return SearchRequest::exhaustive_bits(6, policy);
-    case SearchRoute::kConditionalExpectation:
-      return SearchRequest::conditional_expectation(6, policy);
     case SearchRoute::kPrefixWalk:
       return SearchRequest::prefix_walk(6, policy);
   }
   return {};
 }
 
-TEST(SubstrateDifferential, AllFourRoutesBitIdenticalAcrossSubstrates) {
+TEST(SubstrateDifferential, BothRoutesBitIdenticalAcrossSubstrates) {
   const Graph g = gen::gnp(48, 0.08, 21);
   CollisionOracle oracle(g, 8);
   const engine::SearchRoute routes[] = {
       engine::SearchRoute::kExhaustive,
-      engine::SearchRoute::kExhaustiveBits,
-      engine::SearchRoute::kConditionalExpectation,
       engine::SearchRoute::kPrefixWalk,
   };
   for (std::uint32_t p = 1; p <= 17; ++p) {

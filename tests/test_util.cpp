@@ -95,6 +95,21 @@ TEST(BitStream, SmallDrawsConcatenateLowBitsFirst) {
   EXPECT_EQ(s.bits(4), 0b1011u);
 }
 
+TEST(BitStream, FullWordDrawStraddlesTwoWords) {
+  // bits(4) leaves 60 bits of word 0; the next bits(64) takes them plus
+  // the low 4 bits of word 1, and the draw after it resumes at bit 4 of
+  // word 1.
+  const std::uint64_t words[] = {0x0123456789ABCDEFULL,
+                                 0xFEDCBA9876543215ULL,
+                                 0x1111111111111111ULL};
+  BitStream s([&](std::uint64_t w) { return words[w]; });
+  EXPECT_EQ(s.bits(4), 0xFu);
+  EXPECT_EQ(s.bits(64), 0x50123456789ABCDEULL);
+  EXPECT_EQ(s.bits(60), 0x0FEDCBA987654321ULL);
+  EXPECT_EQ(s.bits(64), 0x1111111111111111ULL);
+  EXPECT_EQ(s.bits_consumed(), 192u);
+}
+
 TEST(BitStream, BelowInRangeAndDeterministic) {
   auto make = [] {
     return BitStream([](std::uint64_t w) { return mix64(w + 99); });
