@@ -104,6 +104,8 @@ void print_stats(const service::ColoringService& svc) {
             << "\n"
             << "stat snapshot_chunks_reused " << s.snapshot_chunks_reused
             << "\n"
+            << "stat snapshot_publish_bytes " << s.snapshot_publish_bytes
+            << "\n"
             << "stat snapshot_epoch " << svc.snapshot()->epoch << "\n"
             << "stat compactions " << s.compactions << "\n"
             << "stat live_vertices " << svc.graph().num_alive() << "\n"

@@ -54,7 +54,8 @@ void PrefixOracle::end_walk() {
   end_search();
 }
 
-double PrefixOracle::eval_prefix(std::uint64_t prefix, int bits_fixed,
+double PrefixOracle::eval_prefix([[maybe_unused]] std::uint64_t prefix,
+                                 [[maybe_unused]] int bits_fixed,
                                  std::size_t item,
                                  const MemberSubgrid& subgrid) const {
   PDC_ASSERT(bits_fixed >= 1 && bits_fixed <= walk_bits_);

@@ -1,5 +1,6 @@
 #include "pdc/graph/io.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <fstream>
 #include <limits>
@@ -30,14 +31,34 @@ NodeId to_node_id(std::uint64_t id, const std::string& line) {
   return static_cast<NodeId>(id);
 }
 
+/// A pinned node count may name isolated nodes beyond the ones its
+/// edges imply, but only a budget of them that grows with the input
+/// read. Graph::from_edges sizes its offsets from the count, so without
+/// this a 12-byte "n 4000000000" line would ask for ~32 GB.
+constexpr std::uint64_t kIsolatedNodesFloor = std::uint64_t{1} << 20;
+constexpr std::uint64_t kIsolatedNodesPerByte = 8;
+
+void check_pinned_count(NodeId pinned, NodeId implied,
+                        std::uint64_t input_bytes) {
+  const std::uint64_t budget =
+      std::max(kIsolatedNodesFloor, kIsolatedNodesPerByte * input_bytes);
+  PDC_CHECK_MSG(pinned <= implied || pinned - implied <= budget,
+                "node count " << pinned << " exceeds the " << implied
+                              << " nodes the edges name by more than the "
+                              << budget << " isolated nodes allowed for "
+                              << input_bytes << " bytes of input");
+}
+
 }  // namespace
 
 Graph read_edge_list(std::istream& in) {
   std::vector<std::pair<NodeId, NodeId>> edges;
-  NodeId n = 0;
+  NodeId n = 0, implied = 0;
   bool n_pinned = false;
+  std::uint64_t input_bytes = 0;
   std::string line;
   while (std::getline(in, line)) {
+    input_bytes += line.size() + 1;
     if (is_comment(line)) continue;
     std::istringstream ls(line);
     std::string head;
@@ -59,8 +80,10 @@ Graph read_edge_list(std::istream& in) {
                   "malformed edge line: " << line);
     const NodeId a = to_node_id(u, line), b = to_node_id(v, line);
     edges.emplace_back(a, b);
-    if (!n_pinned) n = std::max<NodeId>(n, std::max(a, b) + 1);
+    implied = std::max<NodeId>(implied, std::max(a, b) + 1);
   }
+  if (!n_pinned) return Graph::from_edges(implied, std::move(edges));
+  check_pinned_count(n, implied, input_bytes);
   return Graph::from_edges(n, std::move(edges));
 }
 
@@ -76,9 +99,11 @@ void write_edge_list(std::ostream& out, const Graph& g) {
 
 Graph read_dimacs(std::istream& in) {
   std::vector<std::pair<NodeId, NodeId>> edges;
-  NodeId n = 0;
+  NodeId n = 0, implied = 0;
+  std::uint64_t input_bytes = 0;
   std::string line;
   while (std::getline(in, line)) {
+    input_bytes += line.size() + 1;
     if (line.empty()) continue;
     std::istringstream ls(line);
     char kind = 0;
@@ -97,9 +122,12 @@ Graph read_dimacs(std::istream& in) {
       std::uint64_t u = 0, v = 0;
       ls >> u >> v;
       PDC_CHECK_MSG(u >= 1 && v >= 1, "DIMACS ids are 1-based");
-      edges.emplace_back(to_node_id(u - 1, line), to_node_id(v - 1, line));
+      const NodeId a = to_node_id(u - 1, line), b = to_node_id(v - 1, line);
+      edges.emplace_back(a, b);
+      implied = std::max<NodeId>(implied, std::max(a, b) + 1);
     }
   }
+  check_pinned_count(n, implied, input_bytes);
   return Graph::from_edges(n, std::move(edges));
 }
 

@@ -421,7 +421,7 @@ class MultiTrialEstimator final : public LocalDrawEstimator {
     return !degree_exempt(cfg_, s, v);
   }
 
-  void build_tables(const ColoringState& s) override {
+  void build_tables(const ColoringState& /*s*/) override {
     const NodeId n = static_cast<NodeId>(part_.size());
     off_.assign(n, 0);
     k_.assign(n, 0);

@@ -69,7 +69,10 @@ class Ledger {
   /// pattern the tools' --metrics flag uses).
   void publish(obs::Metrics& metrics) const {
     for (const auto& [phase, rounds] : by_phase_) {
-      if (rounds != 0) metrics.add("mpc.rounds", {.phase = phase}, rounds);
+      if (rounds != 0)
+        metrics.add("mpc.rounds",
+                    {.phase = phase, .route = {}, .plane = {}, .backend = {}},
+                    rounds);
     }
     metrics.gauge_max("mpc.peak_local_space", {},
                       static_cast<double>(peak_local_));

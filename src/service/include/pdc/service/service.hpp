@@ -61,14 +61,15 @@
 // tagged with its request id; batches add `service.batch` (mutation
 // count, damaged size), recolors `service.recolor` (region size,
 // full/incremental, cache outcome), publishes `service.snapshot.publish`
-// (epoch, chunks rebuilt/reused) and compactions `service.compact`.
-// Each mutation request assembles a per-request obs::Metrics instance
-// (service.* counters + recolor wall) and absorbs it into
-// Metrics::global(), so a server exports per-request accounting with
-// the same registry the engine publishes into. The embedded
-// SolverOptions carry the engine ExecutionPolicy: recolors ride kAuto
-// backend resolution and the MPC substrate exactly like one-shot
-// solves.
+// (epoch, leaves rebuilt/reused, bytes written) and compactions
+// `service.compact`, which checks the republished snapshot's
+// validate() before returning. Each mutation request assembles a
+// per-request obs::Metrics instance (service.* counters + recolor
+// wall) and absorbs it into Metrics::global(), so a server exports
+// per-request accounting with the same registry the engine publishes
+// into. The embedded SolverOptions carry the engine ExecutionPolicy:
+// recolors ride kAuto backend resolution and the MPC substrate exactly
+// like one-shot solves.
 
 #include <atomic>
 #include <cstdint>
@@ -121,6 +122,7 @@ struct ServiceStats {
   std::uint64_t snapshot_publishes = 0;
   std::uint64_t snapshot_chunks_rebuilt = 0;
   std::uint64_t snapshot_chunks_reused = 0;
+  std::uint64_t snapshot_publish_bytes = 0;  // written into new leaves
   std::uint64_t compactions = 0;  // palette compaction passes
   RegionCacheStats cache;   // mirrored from the RegionCache
   /// Aggregate engine accounting across every recolor's seed searches.
@@ -260,7 +262,8 @@ class ColoringService {
   mutable std::mutex write_mu_;
   SnapshotCell published_;
   std::vector<NodeId> dirty_;  // nodes touched since the last publish
-  bool dirty_full_ = false;    // force a full chunk rebuild
+  bool dirty_full_ = false;    // force a full leaf rebuild + recount
+  SnapshotCensus census_;      // describes the last published snapshot
   std::uint64_t last_batch_seq_ = 0;
 };
 

@@ -11,16 +11,18 @@
 // grabbed epoch E mid-recolor sees the complete proper coloring of
 // epoch E, never a torn mix.
 //
-// Snapshots are chunked so publishes are incremental: the id space is
-// split into kSnapshotChunkNodes-sized chunks, each an independently
-// immutable CSR slice (adjacency + colors + alive flags + flat
-// palettes + a per-chunk distinct-color census and max live degree).
-// A publish rebuilds only the chunks containing nodes the batch
-// touched and shares every other chunk with the previous snapshot by
-// shared_ptr — a single-edge delta republishes one or two chunks, not
-// a full DynamicGraph::to_graph() copy. The snapshot-level colors_used
-// and max_degree roll up from the per-chunk censuses, so the palette
-// compaction trigger is O(#chunks) per publish.
+// Snapshots are split into leaves so publishes are incremental: the id
+// space is cut into kSnapshotChunkNodes-node leaves (64 nodes), each an
+// immutable CSR slice (alive bits, colors, adjacency and flat palettes)
+// held in one flat table of shared_ptrs. A publish rebuilds only the
+// leaves that hold a node the batch touched and shares every other leaf
+// with the previous snapshot by pointer. A rebuilt leaf copies its clean
+// nodes' rows from the previous leaf and reads the writer's scattered
+// per-node vectors only for the dirty nodes, so a publish writes about
+// what the batch touched (reported as publish_bytes). The snapshot's
+// colors_used and max_degree come from a SnapshotCensus the writer keeps
+// across publishes: each dirty node leaves its old (alive, color,
+// degree) bucket and joins its new one, and only a full build recounts.
 //
 // Sequencing: `epoch` increments on every publish; `batch_seq` is the
 // commit sequence number of the last batch the snapshot contains.
@@ -28,10 +30,12 @@
 // read-your-writes: any snapshot loaded after a flush returned carries
 // batch_seq >= that flush's sequence number.
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "pdc/graph/coloring.hpp"
@@ -39,31 +43,69 @@
 
 namespace pdc::service {
 
-/// Nodes per snapshot chunk (power of two; chunk index = v >> shift).
-inline constexpr unsigned kSnapshotChunkShift = 10;
+/// Nodes per snapshot leaf (power of two; leaf index = v >> shift). A
+/// leaf's alive flags are one 64-bit word, so this is at most 64.
+inline constexpr unsigned kSnapshotChunkShift = 6;
 inline constexpr NodeId kSnapshotChunkNodes = NodeId{1} << kSnapshotChunkShift;
+inline constexpr NodeId kSnapshotChunkMask = kSnapshotChunkNodes - 1;
+static_assert(kSnapshotChunkNodes <= 64);
 
-/// One immutable slice of the id space [base, base + count). Never
+/// One immutable leaf: nodes [c * kSnapshotChunkNodes, +count) of the
+/// id space. The per-node columns are inline, so a lookup of alive +
+/// color costs the table slot, the leaf and one word of it. Never
 /// mutated after construction; shared between consecutive snapshots
-/// whenever no node inside it changed.
+/// whenever no node inside it changed. make_shared puts the refcount
+/// in front of the leaf and every publish writes it, so the columns a
+/// color lookup reads come last, off the refcount's cache line.
 struct SnapshotChunk {
-  NodeId base = 0;
-  std::vector<std::uint32_t> offsets;  // count + 1, into adjacency
   std::vector<NodeId> adjacency;
-  std::vector<Color> colors;  // kNoColor for dead nodes
-  std::vector<char> alive;
-  std::vector<std::uint32_t> pal_offsets;  // count + 1, into pal_colors
-  std::vector<Color> pal_colors;           // sorted per node
-  std::vector<Color> used;  // sorted distinct colors of live nodes
-  std::uint32_t max_degree = 0;  // over live nodes
-  NodeId alive_count = 0;
+  std::vector<Color> pal_colors;  // sorted per node
+  std::array<std::uint32_t, kSnapshotChunkNodes + 1> offsets{};  // adjacency
+  std::array<std::uint32_t, kSnapshotChunkNodes + 1> pal_offsets{};
+  std::uint64_t alive = 0;  // bit i: the leaf's i-th node is alive
+  std::array<Color, kSnapshotChunkNodes> colors;  // kNoColor for dead nodes
+
+  SnapshotChunk() { colors.fill(kNoColor); }
+  bool alive_at(NodeId i) const { return ((alive >> i) & 1u) != 0; }
+  std::uint32_t degree_at(NodeId i) const {
+    return offsets[i + 1] - offsets[i];
+  }
+  std::span<const NodeId> neighbors_at(NodeId i) const {
+    return {adjacency.data() + offsets[i], degree_at(i)};
+  }
+  std::span<const Color> palette_at(NodeId i) const {
+    return {pal_colors.data() + pal_offsets[i],
+            pal_offsets[i + 1] - pal_offsets[i]};
+  }
 };
 
 /// Per-publish accounting (mirrored into ServiceStats and the
-/// service.snapshot.* metrics).
+/// service.snapshot.* metrics). The chunk counters count leaves.
 struct SnapshotBuildStats {
   std::uint64_t chunks_rebuilt = 0;
   std::uint64_t chunks_reused = 0;
+  std::uint64_t publish_bytes = 0;  // written into rebuilt leaves
+};
+
+/// Live-node census behind ColoringSnapshot::colors_used and
+/// max_degree, kept by the writer across publishes. build_snapshot
+/// moves each dirty node from its old bucket to its new one, and
+/// clears and refills the census on a full build. Colors are 64-bit
+/// and may be sparse, so the color counts are hashed; degrees are
+/// below the node count.
+class SnapshotCensus {
+ public:
+  void clear();
+  void add(Color c, std::uint32_t degree);
+  void remove(Color c, std::uint32_t degree);
+  std::uint64_t colors_used() const { return colors_used_; }
+  std::uint32_t max_degree() const { return max_degree_; }
+
+ private:
+  std::unordered_map<Color, NodeId> color_count_;  // live nodes per color
+  std::vector<NodeId> degree_count_;               // live nodes per degree
+  std::uint64_t colors_used_ = 0;  // colors with a nonzero count
+  std::uint32_t max_degree_ = 0;
 };
 
 struct ColoringSnapshot {
@@ -74,36 +116,26 @@ struct ColoringSnapshot {
   std::uint64_t num_edges = 0;
   std::uint64_t colors_used = 0;   // distinct colors over live nodes
   std::uint32_t max_degree = 0;    // over live nodes
-  std::vector<std::shared_ptr<const SnapshotChunk>> chunks;
+  std::vector<std::shared_ptr<const SnapshotChunk>> chunks;  // the leaves
 
   bool alive(NodeId v) const {
-    if (v >= capacity) return false;
-    const SnapshotChunk& c = chunk_of(v);
-    return c.alive[v - c.base] != 0;
+    return v < capacity && chunk_of(v).alive_at(v & kSnapshotChunkMask);
   }
   Color color(NodeId v) const {
     PDC_ASSERT(v < capacity);
-    const SnapshotChunk& c = chunk_of(v);
-    return c.colors[v - c.base];
+    return chunk_of(v).colors[v & kSnapshotChunkMask];
   }
   std::uint32_t degree(NodeId v) const {
     PDC_ASSERT(v < capacity);
-    const SnapshotChunk& c = chunk_of(v);
-    const NodeId i = v - c.base;
-    return c.offsets[i + 1] - c.offsets[i];
+    return chunk_of(v).degree_at(v & kSnapshotChunkMask);
   }
   std::span<const NodeId> neighbors(NodeId v) const {
     PDC_ASSERT(v < capacity);
-    const SnapshotChunk& c = chunk_of(v);
-    const NodeId i = v - c.base;
-    return {c.adjacency.data() + c.offsets[i], c.offsets[i + 1] - c.offsets[i]};
+    return chunk_of(v).neighbors_at(v & kSnapshotChunkMask);
   }
   std::span<const Color> palette(NodeId v) const {
     PDC_ASSERT(v < capacity);
-    const SnapshotChunk& c = chunk_of(v);
-    const NodeId i = v - c.base;
-    return {c.pal_colors.data() + c.pal_offsets[i],
-            c.pal_offsets[i + 1] - c.pal_offsets[i]};
+    return chunk_of(v).palette_at(v & kSnapshotChunkMask);
   }
 
   /// Full invariant over the snapshot: every live node colored, within
@@ -133,7 +165,7 @@ struct ColoringSnapshot {
 /// writer's batch lock or on an in-flight recolor, only (rarely) on
 /// another pointer handoff a few instructions long. The displaced
 /// snapshot's refcount drop happens outside the guard, so a reader can
-/// never pay for a chunk teardown.
+/// never pay for a leaf teardown.
 class SnapshotCell {
  public:
   SnapshotCell() = default;
@@ -169,13 +201,16 @@ class SnapshotCell {
 };
 
 /// Builds the snapshot for the writer's current state. When `prev` is
-/// non-null, chunks containing no node in `dirty` (sorted, deduped) are
-/// shared from it; pass prev == nullptr to force a full rebuild (first
-/// publish, full re-solve, palette compaction).
+/// non-null, leaves containing no node in `dirty` (sorted, deduped) are
+/// shared from it, dirty leaves copy their clean rows from it, and
+/// `census` (which must describe `prev`) is updated from the dirty
+/// nodes. Pass prev == nullptr to force a full rebuild and recount
+/// (first publish, full re-solve, palette compaction).
 std::shared_ptr<const ColoringSnapshot> build_snapshot(
     const DynamicGraph& g, const std::vector<std::vector<Color>>& palettes,
     std::span<const Color> colors, std::uint64_t epoch,
     std::uint64_t batch_seq, const ColoringSnapshot* prev,
-    std::span<const NodeId> dirty, SnapshotBuildStats* stats);
+    std::span<const NodeId> dirty, SnapshotCensus& census,
+    SnapshotBuildStats* stats);
 
 }  // namespace pdc::service

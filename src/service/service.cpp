@@ -59,6 +59,7 @@ void publish_snapshot_metrics(std::uint64_t epoch,
   m.add("service.snapshot.publishes", l, 1);
   m.add("service.snapshot.chunks_rebuilt", l, bs.chunks_rebuilt);
   m.add("service.snapshot.chunks_reused", l, bs.chunks_reused);
+  m.add("service.snapshot.publish_bytes", l, bs.publish_bytes);
   m.gauge_max("service.snapshot.epoch", l, epoch);
   obs::Metrics::global().absorb(m);
 }
@@ -249,13 +250,15 @@ void ColoringService::publish_snapshot(const char* mode,
   SnapshotBuildStats bs;
   auto snap = build_snapshot(graph_, palettes_, colors_,
                              (prev ? prev->epoch : 0) + 1, batch_seq,
-                             dirty_full_ ? nullptr : prev.get(), dirty_, &bs);
+                             dirty_full_ ? nullptr : prev.get(), dirty_,
+                             census_, &bs);
   published_.store(snap);
   dirty_.clear();
   dirty_full_ = false;
   ++stats_.snapshot_publishes;
   stats_.snapshot_chunks_rebuilt += bs.chunks_rebuilt;
   stats_.snapshot_chunks_reused += bs.chunks_reused;
+  stats_.snapshot_publish_bytes += bs.publish_bytes;
   if (out != nullptr) out->epoch = snap->epoch;
   if (span.active()) {
     span.tag("mode", mode);
@@ -263,6 +266,7 @@ void ColoringService::publish_snapshot(const char* mode,
     span.tag_u64("batch_seq", batch_seq);
     span.tag_u64("rebuilt", bs.chunks_rebuilt);
     span.tag_u64("reused", bs.chunks_reused);
+    span.tag_u64("bytes", bs.publish_bytes);
     span.tag_u64("colors_used", snap->colors_used);
   }
   publish_snapshot_metrics(snap->epoch, bs);
@@ -325,6 +329,8 @@ void ColoringService::maybe_compact(MutationResult& out) {
   ++stats_.compactions;
   out.compacted = true;
   publish_snapshot("compact", out.batch_seq, &out);
+  PDC_CHECK_MSG(published_.load()->validate(),
+                "palette compaction published an improper coloring");
   if (span.active()) {
     span.tag_u64("remapped", remapped);
     span.tag_u64("colors_used_after", published_.load()->colors_used);
@@ -434,7 +440,7 @@ MutationResult ColoringService::apply_batch(std::span<const Mutation> batch) {
     }
   for (NodeId v : vertex_deletes) {
     // Record the soon-detached neighbors before the removal clears the
-    // adjacency — their snapshot chunks change too.
+    // adjacency — their snapshot leaves change too.
     for (NodeId u : graph_.neighbors(v)) mark_dirty(u);
     graph_.remove_vertex(v);
     colors_[v] = kNoColor;

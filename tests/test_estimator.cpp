@@ -150,8 +150,9 @@ TEST(EstimatorContract, DominatesSimulatedFailuresOnEveryMember) {
             << "member " << m << " node " << v;
         EXPECT_GE(t, 0.0);
         EXPECT_EQ(t, std::floor(t));
-        if (std::optional<double> c = est->constant_term(v))
+        if (std::optional<double> c = est->constant_term(v)) {
           EXPECT_EQ(t, *c) << "member " << m << " node " << v;
+        }
         total += t;
       }
       EXPECT_LE(failures, total) << "member " << m;

@@ -110,6 +110,29 @@ TEST(Io, NodeIdsBeyondNodeIdAreRejected) {
   EXPECT_THROW(io::read_dimacs(dimacs), check_error);
 }
 
+TEST(Io, HugePinnedNodeCountFailsWithoutAllocating) {
+  // A few bytes may not size gigabytes of CSR offsets: the check runs
+  // before Graph::from_edges allocates anything.
+  for (const char* text : {"n 4000000000\n", "n 4000000000\n0 1\n",
+                           "0 1\nn 3000000000\n"}) {
+    std::stringstream s(text);
+    EXPECT_THROW(io::read_edge_list(s), check_error) << text;
+  }
+  std::stringstream dimacs("p edge 4000000000 1\ne 1 2\n");
+  EXPECT_THROW(io::read_dimacs(dimacs), check_error);
+  std::stringstream instance("n 4000000000\n0 1\nc 0 2 0 1\n");
+  EXPECT_THROW(io::read_instance(instance), check_error);
+}
+
+TEST(Io, PinnedIsolatedNodesWithinTheBudgetStillLoad) {
+  // Isolated trailing nodes are legitimate: a short file may pin up to
+  // 2^20 of them, a longer one more in proportion to its size.
+  std::stringstream s("n 1000000\n0 1\n");
+  EXPECT_EQ(io::read_edge_list(s).num_nodes(), 1000000u);
+  std::stringstream dimacs("p edge 1000000 1\ne 1 2\n");
+  EXPECT_EQ(io::read_dimacs(dimacs).num_nodes(), 1000000u);
+}
+
 // ---- New generators. ----
 
 TEST(Generators, BipartiteHasNoOddCycleWitnesses) {

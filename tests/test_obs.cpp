@@ -213,8 +213,10 @@ using ObsMetrics = ObsTest;
 
 TEST_F(ObsMetrics, CounterRealGaugeAbsorbSemantics) {
   Metrics a, b;
-  const Labels solve{.phase = "solve"};
-  const Labels part{.phase = "partition"};
+  const Labels solve{.phase = "solve", .route = {}, .plane = {},
+                     .backend = {}};
+  const Labels part{.phase = "partition", .route = {}, .plane = {},
+                    .backend = {}};
   a.add("engine.evaluations", solve, 10);
   a.add_real("engine.wall_ms", solve, 1.5);
   a.gauge_max("engine.batch", solve, 64.0);
@@ -249,7 +251,8 @@ TEST_F(ObsMetrics, CounterRealGaugeAbsorbSemantics) {
 
 TEST_F(ObsMetrics, BenchJsonExportIsOneFlatRecordPerEntry) {
   Metrics m;
-  m.add("mpc.rounds", {.phase = "low_degree"}, 12);
+  m.add("mpc.rounds",
+        {.phase = "low_degree", .route = {}, .plane = {}, .backend = {}}, 12);
   m.gauge_max("mpc.peak_local_space", {}, 4096.0);
   util::BenchJson json;
   m.to_bench_json(json);

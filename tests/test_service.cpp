@@ -5,9 +5,10 @@
 // gives — and a full re-solve from the same state agrees), region-cache
 // accounting, batch-coalescing determinism, the full-re-solve fallback,
 // and the concurrent read path: epoch-published snapshots (monotone
-// sequencing, chunk reuse, held-snapshot consistency), palette
-// compaction after delete churn, per-session Batcher read modes, and a
-// reader/writer property test that runs clean under ThreadSanitizer.
+// sequencing, leaf reuse, the incremental census, held-snapshot
+// consistency), palette compaction after delete churn, per-session
+// Batcher read modes, and a reader/writer property test that runs clean
+// under ThreadSanitizer.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include <latch>
 #include <memory>
 #include <random>
+#include <string>
 #include <thread>
 
 #include "pdc/graph/coloring.hpp"
@@ -499,17 +501,24 @@ TEST(Snapshot, SnapshotAgreesWithDirectState) {
 }
 
 TEST(Snapshot, IncrementalPublishReusesUntouchedChunks) {
-  // 3000 nodes = 3 chunks (1024 + 1024 + 952). A delta confined to
-  // chunk 0 must republish chunk 0 only and share the other two with
-  // the previous snapshot by pointer.
-  Graph g = gen::gnp(3000, 0.002, 107);
+  // 3000 nodes span many kSnapshotChunkNodes-node leaves, the last one
+  // partial. A delta confined to one leaf in the middle must rebuild
+  // that leaf only and share every other leaf with the previous
+  // snapshot by pointer.
+  constexpr NodeId kN = 3000;
+  constexpr NodeId kLeaf = service::kSnapshotChunkNodes;
+  constexpr std::size_t kLeaves = (kN + kLeaf - 1) / kLeaf;
+  static_assert(kLeaves >= 3 && kN % kLeaf != 0);
+  Graph g = gen::gnp(kN, 0.002, 107);
   ColoringService svc(g);
   auto before = svc.snapshot();
-  ASSERT_EQ(before->chunks.size(), 3u);
+  ASSERT_EQ(before->chunks.size(), kLeaves);
 
+  const std::size_t target = kLeaves / 2;
+  const NodeId lo = static_cast<NodeId>(target * kLeaf), hi = lo + kLeaf;
   NodeId a = kInvalidNode, b = kInvalidNode;
-  for (NodeId u = 0; u < 1024 && a == kInvalidNode; ++u)
-    for (NodeId v = u + 1; v < 1024; ++v)
+  for (NodeId u = lo; u < hi && a == kInvalidNode; ++u)
+    for (NodeId v = u + 1; v < hi; ++v)
       if (svc.color_of(u) == svc.color_of(v) && !svc.graph().has_edge(u, v)) {
         a = u;
         b = v;
@@ -517,15 +526,144 @@ TEST(Snapshot, IncrementalPublishReusesUntouchedChunks) {
       }
   ASSERT_NE(a, kInvalidNode);
   const std::uint64_t rebuilt0 = svc.stats().snapshot_chunks_rebuilt;
+  const std::uint64_t full_bytes = svc.stats().snapshot_publish_bytes;
   MutationResult r = svc.apply(Mutation::insert_edge(a, b));
   ASSERT_TRUE(r.valid);
+  EXPECT_EQ(r.damaged, 1u);
   auto after = svc.snapshot();
-  ASSERT_EQ(after->chunks.size(), 3u);
-  EXPECT_NE(after->chunks[0].get(), before->chunks[0].get());
-  EXPECT_EQ(after->chunks[1].get(), before->chunks[1].get());
-  EXPECT_EQ(after->chunks[2].get(), before->chunks[2].get());
+  ASSERT_EQ(after->chunks.size(), kLeaves);
+  for (std::size_t c = 0; c < kLeaves; ++c) {
+    if (c == target)
+      EXPECT_NE(after->chunks[c].get(), before->chunks[c].get()) << c;
+    else
+      EXPECT_EQ(after->chunks[c].get(), before->chunks[c].get()) << c;
+  }
   EXPECT_EQ(svc.stats().snapshot_chunks_rebuilt, rebuilt0 + 1);
+  // One leaf of kLeaves: the publish writes a small share of what the
+  // initial full build wrote.
+  const std::uint64_t delta_bytes =
+      svc.stats().snapshot_publish_bytes - full_bytes;
+  EXPECT_GT(delta_bytes, 0u);
+  EXPECT_LT(delta_bytes * 4, full_bytes);
   EXPECT_TRUE(after->validate());
+}
+
+// The snapshot census recounted from nothing but the snapshot's own
+// rows: what colors_used / max_degree / num_alive / num_edges must say.
+struct Recount {
+  std::uint64_t colors_used = 0;
+  std::uint32_t max_degree = 0;
+  NodeId num_alive = 0;
+  std::uint64_t num_edges = 0;
+};
+
+Recount recount(const ColoringSnapshot& s) {
+  Recount out;
+  std::vector<Color> used;
+  std::uint64_t degree_sum = 0;
+  for (NodeId v = 0; v < s.capacity; ++v) {
+    if (!s.alive(v)) continue;
+    ++out.num_alive;
+    used.push_back(s.color(v));
+    out.max_degree = std::max(out.max_degree, s.degree(v));
+    degree_sum += s.degree(v);
+  }
+  std::sort(used.begin(), used.end());
+  out.colors_used = static_cast<std::uint64_t>(
+      std::unique(used.begin(), used.end()) - used.begin());
+  out.num_edges = degree_sum / 2;
+  return out;
+}
+
+void expect_census(const ColoringSnapshot& s, const std::string& where) {
+  const Recount r = recount(s);
+  EXPECT_EQ(s.colors_used, r.colors_used) << where;
+  EXPECT_EQ(s.max_degree, r.max_degree) << where;
+  EXPECT_EQ(s.num_alive, r.num_alive) << where;
+  EXPECT_EQ(s.num_edges, r.num_edges) << where;
+}
+
+TEST(Snapshot, IncrementalCensusMatchesRecountUnderChurn) {
+  // Seeded vertex + edge churn over a K20 beside a sparse random graph,
+  // with compaction forced on (slack 0) and off. Deleting the
+  // max-degree vertex shrinks the clique while its colors stay, which
+  // strands colors above max degree + 1 and so triggers compaction's
+  // full rebuilds. The incrementally kept census must equal a
+  // from-scratch recount after every batch.
+  constexpr NodeId kClique = 20, kN = 400;
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (NodeId u = 0; u < kClique; ++u)
+    for (NodeId v = u + 1; v < kClique; ++v) edges.emplace_back(u, v);
+  const Graph sparse = gen::gnp(kN - kClique, 0.012, 131);
+  for (NodeId u = 0; u < sparse.num_nodes(); ++u)
+    for (NodeId v : sparse.neighbors(u))
+      if (u < v) edges.emplace_back(kClique + u, kClique + v);
+  const Graph g = Graph::from_edges(kN, std::move(edges));
+  for (const std::size_t slack :
+       {std::size_t{0}, service::kCompactionDisabled}) {
+    SCOPED_TRACE(slack == 0 ? "compaction forced" : "compaction disabled");
+    ServiceConfig cfg;
+    cfg.compaction_slack = slack;
+    ColoringService svc(g, cfg);
+    auto held = svc.snapshot();
+    const Recount held_census = recount(*held);
+    expect_census(*held, "initial");
+
+    std::mt19937_64 rng(4242);
+    auto pick_alive = [&]() {
+      const auto& dg = svc.graph();
+      for (;;) {
+        const NodeId v = static_cast<NodeId>(rng() % dg.capacity());
+        if (dg.alive(v)) return v;
+      }
+    };
+    for (int step = 0; step < 60; ++step) {
+      std::vector<Mutation> batch;
+      for (int i = 0; i < 8; ++i) {
+        const NodeId u = pick_alive(), v = pick_alive();
+        switch (rng() % 6) {
+          case 0:
+            batch.push_back(Mutation::insert_vertex());
+            break;
+          case 1: {
+            // The live vertex of max degree (lowest id on ties).
+            const auto& dg = svc.graph();
+            NodeId hub = u;
+            for (NodeId w = 0; w < dg.capacity(); ++w)
+              if (dg.alive(w) && dg.degree(w) > dg.degree(hub)) hub = w;
+            if (dg.num_alive() > 300)
+              batch.push_back(Mutation::delete_vertex(rng() % 2 ? u : hub));
+            break;
+          }
+          case 2:
+          case 3:
+            // Delete an existing edge so degrees actually drop.
+            if (svc.graph().degree(u) > 0)
+              batch.push_back(Mutation::delete_edge(
+                  u, svc.graph().neighbors(u)[rng() % svc.graph().degree(u)]));
+            break;
+          default:
+            if (u != v) batch.push_back(Mutation::insert_edge(u, v));
+            break;
+        }
+      }
+      // Attach the batch's first new vertex so inserts carry edges.
+      const NodeId fresh = svc.graph().capacity();
+      batch.push_back(Mutation::insert_vertex());
+      batch.push_back(Mutation::insert_edge(fresh, pick_alive()));
+      ASSERT_TRUE(svc.apply_batch(batch).valid) << "step " << step;
+      const auto now = svc.snapshot();
+      expect_census(*now, "step " + std::to_string(step));
+      ASSERT_TRUE(now->validate()) << "step " << step;
+    }
+    if (slack == 0) EXPECT_GT(svc.stats().compactions, 0u);
+    else EXPECT_EQ(svc.stats().compactions, 0u);
+    // The snapshot held from before the churn is frozen and proper.
+    EXPECT_TRUE(held->validate());
+    EXPECT_EQ(held->colors_used, held_census.colors_used);
+    EXPECT_EQ(held->max_degree, held_census.max_degree);
+    expect_census(*held, "held");
+  }
 }
 
 TEST(Snapshot, HeldSnapshotStaysConsistentAcrossLaterBatches) {

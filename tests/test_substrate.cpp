@@ -39,8 +39,13 @@ void* operator new(std::size_t n) {
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+// Kept out of line: inlined into a caller, GCC sees memory from
+// `operator new` reach std::free and raises -Wmismatched-new-delete,
+// although this pair allocates with std::malloc.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace pdc::mpc {
 namespace {
@@ -95,7 +100,8 @@ TEST(SenseBarrier, ReleasesEveryPartyEveryEpisode) {
         arrived.fetch_add(1);
         barrier.arrive_and_wait(sense);
         // Everyone from this episode has arrived before anyone leaves.
-        if (arrived.load() < kThreads * (e + 1)) failed = true;
+        if (static_cast<unsigned>(arrived.load()) < kThreads * (e + 1))
+          failed = true;
         barrier.arrive_and_wait(sense);  // separate episodes
       }
     });
